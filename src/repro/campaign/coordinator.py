@@ -1,19 +1,20 @@
-"""Lease-based campaign coordinator.
+"""Durable campaign coordinator.
 
 The coordinator executes a :class:`~repro.campaign.plan.CampaignPlan`
-across engine worker subprocesses, either leased warm from a
-:class:`~repro.engine.pool.WorkerPool` or owned for the campaign's
-lifetime.  It differs from :class:`~repro.engine.core.ExperimentEngine`
-in what it promises: the engine promises one outcome per request in one
-process's lifetime; the coordinator promises a campaign that *survives
-its own death*.
+on the engine's lease loop (:func:`repro.engine.core.run_leases`) —
+the same crash, deadline, liveness, retry, backoff and
+reference-fallback handling ``run-all`` gets — with workers leased warm
+from a :class:`~repro.engine.pool.WorkerPool` or owned for the
+campaign's lifetime.  What it adds is durability: a campaign that
+*survives its own death*.
 
 Mechanics:
 
 * every item dispatch takes a **lease** — journaled ``item_leased``,
-  with a deadline of ``policy.timeout_s`` from now; a worker that blows
-  the deadline or dies (liveness is swept every loop tick) gets its item
-  journaled ``item_released`` and re-leased after deterministic backoff;
+  with a deadline of ``policy.timeout_s`` from now; a lease broken by a
+  crash, a dead worker, a blown deadline, an error or a corrupt payload
+  is journaled ``item_released`` and re-leased after deterministic
+  backoff;
 * a finished item is committed to the :class:`~repro.campaign.disktier.
   DiskTier` **before** it is journaled ``item_completed`` — so the tier,
   not the journal, is the source of truth, and a crash between the two
@@ -32,25 +33,19 @@ Mechanics:
 from __future__ import annotations
 
 import contextlib
-import heapq
+import dataclasses
+import json
 import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional
 
 from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import CampaignPlan, WorkItem
-from repro.engine.core import (
-    _mp_context,
-    _owned_workers,
-    _Worker,
-    validate_payload,
-)
-from repro.engine.faults import CampaignFaults, choose_corruption, unit_interval
+from repro.engine.core import LeaseHooks, LeaseTask, run_leases
+from repro.engine.faults import CampaignFaults
 from repro.engine.journal import RunJournal, read_journal
-from repro.engine.store import checksum  # noqa: F401  (re-export for tests)
 from repro.errors import CampaignError
 from repro.experiments.runner import pack_record, unpack_record
 from repro.obs import runtime as obs
@@ -58,8 +53,6 @@ from repro.obs import runtime as obs
 TIER_FILENAME = "campaign.db"
 JOURNAL_FILENAME = "journal.jsonl"
 RESULTS_FILENAME = "results.json"
-
-_FALLBACK_TIMEOUT_FACTOR = 4.0  # the reference simulator is slower
 
 
 @dataclass
@@ -117,8 +110,6 @@ class CampaignReport:
             outcome = self.outcomes[item_id]
             if outcome.stats is None:
                 continue
-            import dataclasses
-
             results[item_id] = {
                 "key": outcome.item.key,
                 "stats": dataclasses.asdict(outcome.stats),
@@ -142,23 +133,6 @@ class CampaignReport:
             "quarantined": self.quarantined,
             "duration": round(self.duration, 6),
         }
-
-
-@dataclass
-class _ItemTask:
-    index: int
-    item: WorkItem
-    simulator: str = "fast"
-    attempts: int = 0           # lease attempts in the current stage
-    total_attempts: int = 0     # across stages (fault plan / jitter index)
-    started_at: float = 0.0
-    total_time: float = 0.0
-    fallback_used: bool = False
-    last_error: Optional[str] = None
-
-    @property
-    def key(self) -> str:
-        return self.item.key
 
 
 class Coordinator:
@@ -274,7 +248,17 @@ class Coordinator:
                     "campaign.execute",
                     campaign=self.plan.campaign_id, items=len(pending),
                 ):
-                    self._execute(pending, report, tier, journal)
+                    spec = self.plan.spec
+                    run_leases(
+                        [
+                            LeaseTask(i, item.request, item.key, item.item_id)
+                            for i, item in enumerate(pending)
+                        ],
+                        spec.policy.lease_policy(spec.seed, spec.guard),
+                        self.faults.worker if self.faults else None,
+                        self._hooks(pending, report, tier, journal),
+                        pool=self.pool, jobs=self.jobs,
+                    )
             report.duration = round(time.monotonic() - started, 6)
             journal.emit(
                 "campaign_finish",
@@ -349,40 +333,57 @@ class Coordinator:
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, items: List[WorkItem], report, tier, journal) -> None:
-        policy = self.plan.spec.policy
-        seed = self.plan.spec.seed
-        guard_record = self.plan.spec.guard
-        tasks = [
-            _ItemTask(index=i, item=item) for i, item in enumerate(items)
-        ]
-        stack = contextlib.ExitStack()
-        if self.pool is not None:
-            ctx = self.pool.ctx
-            workers = stack.enter_context(
-                self.pool.leased(min(self.jobs, len(tasks)))
-            )
-        else:
-            ctx = _mp_context()
-            workers = stack.enter_context(
-                _owned_workers(ctx, min(self.jobs, len(tasks)))
-            )
-        ready: List[_ItemTask] = list(tasks)
-        delayed: List = []  # heap of (ready_time, tiebreak, task)
-        seq = 0
-        remaining = len(tasks)
+    def _hooks(self, items: List[WorkItem], report, tier, journal) -> LeaseHooks:
+        """Journal, count and durably commit the campaign's lease events."""
+        items_by_id = {item.item_id: item for item in items}
 
-        def finish(task: _ItemTask, status, stats=None, error=None) -> None:
-            nonlocal remaining
-            report.outcomes[task.item.item_id] = ItemOutcome(
-                item=task.item, status=status, stats=stats,
+        def finish(task: LeaseTask, status: str, stats=None) -> None:
+            report.outcomes[task.label] = ItemOutcome(
+                item=items_by_id[task.label], status=status, stats=stats,
                 attempts=task.total_attempts,
                 duration=round(task.total_time, 6),
-                error=error,
+                error=task.last_error if status == "failed" else None,
             )
-            remaining -= 1
 
-        def commit(task: _ItemTask, stats, status: str) -> None:
+        def leased(task: LeaseTask, pid: int, injected) -> None:
+            journal.emit(
+                "item_leased", item=task.label, attempt=task.total_attempts,
+                worker=pid, simulator=task.simulator,
+                **({"injected": injected} if injected else {}),
+            )
+            obs.counter_add(
+                "repro_campaign_items_leased_total", 1,
+                "item leases granted to workers",
+            )
+
+        def released(task: LeaseTask, reason: str) -> None:
+            journal.emit(
+                "item_released", item=task.label, reason=reason,
+                attempt=task.total_attempts,
+            )
+            obs.counter_add(
+                "repro_campaign_items_released_total", 1,
+                "leases broken before completion, by reason", reason=reason,
+            )
+
+        def failed(task: LeaseTask) -> None:
+            journal.emit(
+                "item_failed", item=task.label,
+                error=task.last_error, attempts=task.total_attempts,
+            )
+            finish(task, "failed")
+
+        def succeeded(task: LeaseTask, stats, worker_guard, worker_tier) -> None:
+            ids = {"item": task.label, "run": task.key}
+            for violation in (worker_guard or {}).get("violations", ()):
+                journal.emit("guard_violation", **ids, **violation)
+            if worker_guard and worker_guard.get("status") == "rolled_back":
+                journal.emit("guard_rollback", **ids)
+                status = "rolled_back"
+            elif task.simulator == "reference":
+                status = "degraded"
+            else:
+                status = "analytic" if worker_tier == "analytic" else "ok"
             # Commit order is the resume invariant: the durable tier
             # first, the journal second.  A crash between the two is
             # recovered by the tier scan, never by trusting the journal.
@@ -394,230 +395,24 @@ class Coordinator:
             )
             self._maybe_kill_coordinator()
             journal.emit(
-                "item_completed", item=task.item.item_id, status=status,
+                "item_completed", item=task.label, status=status,
                 attempts=task.total_attempts,
                 duration=round(task.total_time, 6),
             )
             finish(task, status, stats=stats)
 
-        def release(task: _ItemTask, reason: str, error: str) -> None:
-            nonlocal seq
-            now = time.monotonic()
-            task.total_time += now - task.started_at
-            task.last_error = error
-            journal.emit(
-                "item_released", item=task.item.item_id, reason=reason,
-                attempt=task.total_attempts,
-            )
-            obs.counter_add(
-                "repro_campaign_items_released_total", 1,
-                "leases broken before completion, by reason", reason=reason,
-            )
-            if task.attempts <= policy.retries:
-                delay = _backoff(policy, seed, task)
-                obs.counter_add(
-                    "repro_campaign_retries_total", 1,
-                    "item re-leases scheduled after a broken lease",
-                )
-                seq += 1
-                heapq.heappush(delayed, (now + delay, seq, task))
-            elif policy.fallback and not task.fallback_used:
-                task.fallback_used = True
-                task.simulator = "reference"
-                task.attempts = 0
-                obs.counter_add(
-                    "repro_campaign_fallbacks_total", 1,
-                    "items degraded to the reference simulator",
-                )
-                seq += 1
-                heapq.heappush(delayed, (now, seq, task))
-            else:
-                journal.emit(
-                    "item_failed", item=task.item.item_id,
-                    error=task.last_error, attempts=task.total_attempts,
-                )
-                finish(task, "failed", error=task.last_error)
-
-        def handle_result(worker: _Worker, msg) -> None:
-            task = worker.task
-            worker.task = None
-            worker.deadline = float("inf")
-            if msg[0] == "error":
-                release(task, "error", str(msg[2]))
-                return
-            payload, digest = msg[2], msg[3]
-            if len(msg) > 4 and msg[4] is not None:
-                try:
-                    obs.merge_snapshot(msg[4])
-                except Exception:  # never fail an item over metrics
-                    pass
-            stats = validate_payload(payload, digest)
-            if stats is None:
-                release(
-                    task, "corrupt_payload",
-                    "result payload failed checksum",
-                )
-                return
-            task.total_time += time.monotonic() - task.started_at
-            worker_guard = msg[5] if len(msg) > 5 else None
-            worker_tier = msg[6] if len(msg) > 6 else None
-            self._journal_guard(journal, task, worker_guard)
-            status = (
-                "rolled_back"
-                if worker_guard and worker_guard.get("status") == "rolled_back"
-                else "degraded" if task.simulator == "reference"
-                else "analytic" if worker_tier == "analytic"
-                else "ok"
-            )
-            commit(task, stats, status)
-
-        try:
-            while remaining > 0:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    ready.append(heapq.heappop(delayed)[2])
-                for worker in workers:
-                    if worker.task is None and ready:
-                        task = ready.pop(0)
-                        if not self._lease(worker, task, journal, guard_record):
-                            self._replace(workers, worker, ctx)
-                            release(
-                                task, "dispatch",
-                                "worker unreachable at dispatch",
-                            )
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    if delayed:
-                        time.sleep(
-                            min(0.25, max(0.001, delayed[0][0] - time.monotonic()))
-                        )
-                        continue
-                    break  # pragma: no cover - no work left but remaining>0
-                horizon = min(w.deadline for w in busy)
-                if delayed:
-                    horizon = min(horizon, delayed[0][0])
-                wait_for = min(0.5, max(0.005, horizon - time.monotonic()))
-                for conn in _conn_wait([w.conn for w in busy], timeout=wait_for):
-                    worker = next((w for w in workers if w.conn is conn), None)
-                    if worker is None or worker.task is None:
-                        continue  # replaced or already handled
-                    try:
-                        msg = worker.conn.recv()
-                    except (EOFError, OSError):
-                        task = worker.task
-                        code = worker.proc.exitcode
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            f"worker died (exit code {code}) holding the lease",
-                        )
-                        continue
-                    except Exception as exc:
-                        # torn pipe write: a frame arrived but does not
-                        # decode — same containment as a worker crash
-                        task = worker.task
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            "worker shipped an undecodable message "
-                            f"({type(exc).__name__}: torn write?)",
-                        )
-                        continue
-                    handle_result(worker, msg)
-                # heartbeat + deadline sweep: a lease is only as live as
-                # its worker process and its deadline
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.task is None:
-                        continue
-                    if now >= worker.deadline:
-                        task = worker.task
-                        budget = worker.deadline - task.started_at
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "timeout",
-                            f"lease deadline ({budget:.1f}s) exceeded; "
-                            "worker killed",
-                        )
-                    elif not worker.proc.is_alive():
-                        task = worker.task
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            "worker heartbeat lost (process dead)",
-                        )
-        finally:
-            stack.close()
-
-    def _lease(self, worker: _Worker, task: _ItemTask, journal, guard) -> bool:
-        policy = self.plan.spec.policy
-        task.attempts += 1
-        task.total_attempts += 1
-        timeout = policy.timeout_s * (
-            _FALLBACK_TIMEOUT_FACTOR if task.simulator == "reference" else 1.0
+        return LeaseHooks(
+            leased=leased, released=released, failed=failed,
+            succeeded=succeeded,
+            retry=lambda task, delay: obs.counter_add(
+                "repro_campaign_retries_total", 1,
+                "item re-leases scheduled after a broken lease",
+            ),
+            fallback=lambda task: obs.counter_add(
+                "repro_campaign_fallbacks_total", 1,
+                "items degraded to the reference simulator",
+            ),
         )
-        injected = None
-        worker_faults = self.faults.worker if self.faults else None
-        if worker_faults is not None:
-            injected = worker_faults.decide(task.key, task.total_attempts)
-        fault = None
-        if injected == "timeout":
-            fault = ("timeout", timeout * 3 + 1.0)
-        elif injected == "layout":
-            fault = (
-                "layout",
-                choose_corruption(
-                    worker_faults.seed, task.key, task.total_attempts
-                ),
-            )
-        elif injected == "slow":
-            fault = ("slow", worker_faults.slow_s)
-        elif injected is not None:
-            fault = (injected, None)
-        task.started_at = time.monotonic()
-        worker.task = task
-        worker.deadline = task.started_at + timeout
-        journal.emit(
-            "item_leased", item=task.item.item_id,
-            attempt=task.total_attempts, worker=worker.proc.pid,
-            simulator=task.simulator,
-            **({"injected": injected} if injected else {}),
-        )
-        obs.counter_add(
-            "repro_campaign_items_leased_total", 1,
-            "item leases granted to workers",
-        )
-        collect = obs.is_enabled()
-        try:
-            worker.conn.send(
-                (
-                    "task", task.index, task.item.request, task.simulator,
-                    fault, collect, guard, "auto", policy.tier,
-                )
-            )
-        except (BrokenPipeError, OSError):  # pragma: no cover - instant death
-            worker.task = None
-            worker.deadline = float("inf")
-            return False
-        return True
-
-    @staticmethod
-    def _journal_guard(journal, task: _ItemTask, guard_record) -> None:
-        if not guard_record:
-            return
-        for violation in guard_record.get("violations", ()):
-            journal.emit(
-                "guard_violation", item=task.item.item_id, run=task.key,
-                **violation,
-            )
-        if guard_record.get("status") == "rolled_back":
-            journal.emit(
-                "guard_rollback", item=task.item.item_id, run=task.key,
-            )
-
-    def _replace(self, workers: List[_Worker], dead: _Worker, ctx) -> None:
-        dead.kill()
-        workers[workers.index(dead)] = _Worker(ctx, slot=dead.slot)
 
     def _maybe_kill_coordinator(self) -> None:
         """Chaos hook: die unceremoniously after the Nth durable commit.
@@ -635,8 +430,6 @@ class Coordinator:
             os._exit(137)
 
     def _write_results(self, report: CampaignReport) -> None:
-        import json
-
         tmp = self.results_path.with_name(self.results_path.name + ".tmp")
         with open(tmp, "w") as fh:
             json.dump(report.results_document(), fh, sort_keys=True, indent=1)
@@ -645,13 +438,3 @@ class Coordinator:
             os.fsync(fh.fileno())
         os.replace(tmp, self.results_path)
 
-
-def _backoff(policy, seed: int, task: _ItemTask) -> float:
-    if policy.backoff_base_s <= 0:
-        return 0.0
-    raw = min(
-        policy.backoff_cap_s,
-        policy.backoff_base_s * 2 ** (task.attempts - 1),
-    )
-    jitter = 0.5 + unit_interval(seed, task.key, task.total_attempts)
-    return raw * jitter

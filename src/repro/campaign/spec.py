@@ -74,6 +74,26 @@ class CampaignPolicy:
             "tier": self.tier,
         }
 
+    def lease_policy(self, seed: int, guard: Optional[Dict] = None):
+        """This policy as the lease loop's :class:`~repro.engine.core.LeasePolicy`.
+
+        ``seed`` seeds the retry jitter; ``guard`` is the GuardConfig
+        record workers apply.
+        """
+        from repro.engine.core import LeasePolicy
+
+        return LeasePolicy(
+            timeout=self.timeout_s,
+            retries=self.retries,
+            backoff_base=self.backoff_base_s,
+            backoff_cap=self.backoff_cap_s,
+            fallback=self.fallback,
+            seed=seed,
+            guard=guard,
+            jit="auto",
+            tier=self.tier,
+        )
+
 
 @dataclass(frozen=True)
 class CampaignSpec:

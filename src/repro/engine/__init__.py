@@ -2,8 +2,9 @@
 
 Submodules:
 
-* :mod:`repro.engine.core`    — parallel executor (timeouts, retries,
-  crash containment, graceful degradation);
+* :mod:`repro.engine.core`    — the one worker lease loop (deadlines,
+  liveness, retries with jittered backoff, reference-simulator
+  fallback) shared by the parallel executor and campaign coordinator;
 * :mod:`repro.engine.store`   — crash-safe persistent result store;
 * :mod:`repro.engine.journal` — structured JSONL run journal;
 * :mod:`repro.engine.faults`  — deterministic fault injection;

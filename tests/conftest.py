@@ -101,3 +101,30 @@ def paper_cache_2048() -> CacheConfig:
 def paper_cache_1024() -> CacheConfig:
     """Cs=1024, Ls=4 in element(=byte) units."""
     return CacheConfig(1024, 4, 1)
+
+
+# -- paired overhead gate ----------------------------------------------------
+
+
+def assert_overhead_within(measure, baseline, allowed, floor_s, pairs=5):
+    """Gate ``measure()`` at most ``allowed`` slower than ``baseline()``.
+
+    Both callables run one timed pass and return its seconds.  The runs
+    interleave (A B A B ...), so a change in machine load hits both
+    sides of a pair alike, and the gate is the median over pairs of
+    ``A_i - (1 + allowed) * B_i`` against the ``floor_s`` timer-noise
+    slack.
+    """
+    assert pairs >= 3
+    excess = []
+    for _ in range(pairs):
+        a = measure()
+        b = baseline()
+        excess.append(a - (1 + allowed) * b)
+    excess.sort()
+    median = excess[len(excess) // 2]
+    assert median <= floor_s, (
+        f"median excess {median:.4f}s over {1 + allowed:.2f}x baseline "
+        f"exceeds {floor_s:.3f}s (per pair: "
+        + ", ".join(f"{e:.4f}" for e in excess) + ")"
+    )

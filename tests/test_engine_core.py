@@ -12,7 +12,12 @@ import time
 import pytest
 
 from repro.cache.config import direct_mapped
-from repro.engine.core import EngineConfig, ExperimentEngine
+from repro.engine.core import (
+    EngineConfig,
+    ExperimentEngine,
+    LeaseTask,
+    backoff,
+)
 from repro.engine.journal import RunJournal, read_journal
 from repro.engine.store import CrashSafeStore
 from repro.experiments.runner import Runner, request_key
@@ -133,6 +138,62 @@ class TestCrashContainment:
         assert any("checksum" in r for r in reasons)
 
 
+class _StrayPipeContext:
+    """Fork context that leaves a stray copy of every worker's pipe end.
+
+    Models a process forked between a worker's ``Pipe()`` and the
+    parent's ``child.close()`` (serve's campaign thread, a supervisor
+    respawn): while any copy is open, the worker's death never shows up
+    as EOF on the parent's end.
+    """
+
+    def __init__(self):
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("fork")
+        self.strays = []
+
+    def Pipe(self):
+        parent, child = self._ctx.Pipe()
+        self.strays.append(os.dup(child.fileno()))
+        return parent, child
+
+    def Process(self, *args, **kwargs):
+        return self._ctx.Process(*args, **kwargs)
+
+
+class TestLiveness:
+    def test_dead_worker_retried_before_deadline_despite_stray_pipe(
+        self, tmp_path
+    ):
+        from repro.engine.pool import WorkerPool
+
+        ctx = _StrayPipeContext()
+        journal_path = tmp_path / "j.jsonl"
+        engine = ExperimentEngine(
+            _fast_config(jobs=1, timeout=20.0,
+                         faults=_ScriptedFaults("kill", {1})),
+            pool=WorkerPool(jobs=1, ctx=ctx),
+        )
+        try:
+            t0 = time.monotonic()
+            outcomes = engine.run_many(
+                _requests(1), journal=RunJournal(journal_path)
+            )
+            wall = time.monotonic() - t0
+        finally:
+            engine.pool.close()
+            for fd in ctx.strays:
+                os.close(fd)
+        assert outcomes[0].status == "ok"
+        assert outcomes[0].attempts == 2
+        retries = [e for e in read_journal(journal_path)
+                   if e["event"] == "retry"]
+        assert len(retries) == 1 and "WorkerCrashed" in retries[0]["reason"]
+        # the liveness sweep, not the 20 s deadline, caught the death
+        assert wall < 5.0
+
+
 class TestTimeouts:
     def test_hung_worker_killed_and_retried(self):
         requests = _requests(2)
@@ -245,34 +306,43 @@ class TestJournal:
         assert all(e["ts"] > 0 for e in events)
 
 
+def _engine_policy(seed=0, backoff_base=0.25):
+    return _fast_config(seed=seed, backoff_base=backoff_base).lease_policy()
+
+
+def _campaign_policy(seed=0, backoff_base=0.25):
+    from repro.campaign.spec import CampaignPolicy
+
+    return CampaignPolicy(
+        backoff_base_s=backoff_base, backoff_cap_s=30.0
+    ).lease_policy(seed)
+
+
 class TestBackoffJitter:
     """Retry backoff must be deterministic per task key yet spread across
-    keys, so a sweep's retries never stampede in lockstep."""
+    keys, so a sweep's retries never stampede in lockstep.  Run against an
+    :class:`EngineConfig`'s lease policy here and a ``CampaignPolicy``'s in
+    :class:`TestCampaignBackoffJitter`: both go through one backoff."""
 
-    def _engine(self, **overrides):
-        return ExperimentEngine(_fast_config(
-            backoff_base=0.25, backoff_cap=30.0, **overrides
-        ))
+    policy = staticmethod(_engine_policy)
 
     def _task(self, key, attempts=1, total_attempts=1):
-        from repro.engine.core import _Task
-
         request = _requests(1)[0]
-        return _Task(index=0, request=request, key=key,
-                     attempts=attempts, total_attempts=total_attempts)
+        return LeaseTask(index=0, request=request, key=key, label=key,
+                         attempts=attempts, total_attempts=total_attempts)
 
     def test_same_key_same_attempt_is_deterministic(self):
-        a = self._engine(seed=5)
-        b = self._engine(seed=5)
+        a = self.policy(seed=5)
+        b = self.policy(seed=5)
         for attempt in (1, 2, 3):
             task = self._task("prog|pad|c", attempts=attempt,
                               total_attempts=attempt)
-            assert a._backoff(task) == b._backoff(task)
+            assert backoff(a, task) == backoff(b, task)
 
     def test_delays_spread_across_task_keys(self):
-        engine = self._engine(seed=0)
+        lease_policy = self.policy(seed=0)
         delays = {
-            engine._backoff(self._task(f"prog{i}|pad|c"))
+            backoff(lease_policy, self._task(f"prog{i}|pad|c"))
             for i in range(32)
         }
         # 32 keys, first attempt each: raw delay is identical, so any
@@ -283,13 +353,14 @@ class TestBackoffJitter:
 
     def test_jitter_depends_on_seed(self):
         task = self._task("prog|pad|c")
-        assert (self._engine(seed=1)._backoff(task)
-                != self._engine(seed=2)._backoff(task))
+        assert (backoff(self.policy(seed=1), task)
+                != backoff(self.policy(seed=2), task))
 
     def test_exponential_growth_respects_cap(self):
-        engine = self._engine(seed=0)
+        lease_policy = self.policy(seed=0)
         raw = [
-            engine._backoff(self._task("k", attempts=n, total_attempts=n))
+            backoff(lease_policy,
+                    self._task("k", attempts=n, total_attempts=n))
             for n in range(1, 12)
         ]
         assert all(d <= 30.0 * 1.5 for d in raw)
@@ -297,5 +368,8 @@ class TestBackoffJitter:
         assert raw[1] > raw[0] * 1.2
 
     def test_zero_base_disables_waiting(self):
-        engine = ExperimentEngine(_fast_config(backoff_base=0.0))
-        assert engine._backoff(self._task("k")) == 0.0
+        assert backoff(self.policy(backoff_base=0.0), self._task("k")) == 0.0
+
+
+class TestCampaignBackoffJitter(TestBackoffJitter):
+    policy = staticmethod(_campaign_policy)

@@ -6,7 +6,9 @@ test — everything else (baseline re-simulation, cell-stream replay,
 invariant sweep) is gated behind it.  This times the guarded execution
 path on a >1M-access benchmark trace with the guard off and compares
 against the same path with the lookup hoisted to a constant, reusing the
-5% budget (plus timer-noise floor) the obs overhead test established.
+5% budget (plus timer-noise floor) the obs overhead test established,
+judged on interleaved pairs of runs
+(``tests.conftest.assert_overhead_within``).
 
 Wall-clock tests are inherently jittery on loaded CI machines; set
 ``REPRO_SKIP_TIMING=1`` to skip.
@@ -21,6 +23,7 @@ import pytest
 
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import Runner
+from tests.conftest import assert_overhead_within
 
 ALLOWED_OVERHEAD = 0.05
 NOISE_FLOOR_SECONDS = 0.010  # absolute slack: sub-10ms deltas are timer noise
@@ -43,29 +46,26 @@ def _execute_once(runner, request) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(repeats: int, fn, *args) -> float:
-    return min(fn(*args) for _ in range(repeats))
-
-
-def test_guard_off_overhead_within_budget(monkeypatch):
+def test_guard_off_overhead_within_budget():
     runner = Runner()
     request = runner.request_for(WORKLOAD, "pad")
     stats = runner.execute(request)  # warm-up: parse, pad, numpy caches
     assert stats.accesses >= 1_000_000
 
     assert runner_mod.guard_runtime.active_config() is None
-    guarded_off = _best_of(3, _execute_once, runner, request)
+
     # Baseline: the identical path with the guard hook compiled away,
     # which is what the pre-guard runner did.
-    monkeypatch.setattr(
-        runner_mod.guard_runtime, "active_config", lambda: None
-    )
-    baseline = _best_of(3, _execute_once, runner, request)
+    def baseline():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                runner_mod.guard_runtime, "active_config", lambda: None
+            )
+            return _execute_once(runner, request)
 
-    budget = baseline * (1 + ALLOWED_OVERHEAD) + NOISE_FLOOR_SECONDS
-    assert guarded_off <= budget, (
-        f"guard-off {guarded_off:.4f}s vs baseline {baseline:.4f}s "
-        f"(budget {budget:.4f}s)"
+    assert_overhead_within(
+        lambda: _execute_once(runner, request), baseline,
+        ALLOWED_OVERHEAD, NOISE_FLOOR_SECONDS,
     )
 
 

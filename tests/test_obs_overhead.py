@@ -5,7 +5,8 @@ call when collection is off.  This test times the instrumented fast
 direct-mapped engine on a one-million-access trace with metrics disabled
 and compares against the engine's own work with the obs module's flag
 check hoisted to a no-op — the instrumented run must be within 5%
-(plus a small absolute floor for timer noise).
+(plus a small absolute floor for timer noise), judged on interleaved
+pairs of runs (see ``tests.conftest.assert_overhead_within``).
 
 Wall-clock tests are inherently jittery on loaded CI machines; set
 ``REPRO_SKIP_TIMING=1`` to skip.
@@ -22,6 +23,7 @@ import pytest
 from repro.cache import fastsim
 from repro.cache.config import CacheConfig
 from repro.obs import runtime as obs
+from tests.conftest import assert_overhead_within
 
 TRACE_LENGTH = 1_000_000
 CHUNK = 65_536
@@ -49,11 +51,7 @@ def _simulate(addresses, writes) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(repeats: int, fn, *args) -> float:
-    return min(fn(*args) for _ in range(repeats))
-
-
-def test_disabled_metrics_overhead_within_budget(monkeypatch):
+def test_disabled_metrics_overhead_within_budget():
     obs.disable()
     addresses, writes = _trace()
     _simulate(addresses, writes)  # warm-up: numpy caches, page faults
@@ -62,14 +60,14 @@ def test_disabled_metrics_overhead_within_budget(monkeypatch):
     # constant, which is what the pre-instrumentation hot loop compiled
     # down to.  Comparing the same code path keeps the measurement about
     # the instrumentation, not about unrelated engine changes.
-    instrumented = _best_of(3, _simulate, addresses, writes)
-    monkeypatch.setattr(fastsim, "_obs_enabled", lambda: False)
-    baseline = _best_of(3, _simulate, addresses, writes)
+    def baseline():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastsim, "_obs_enabled", lambda: False)
+            return _simulate(addresses, writes)
 
-    budget = baseline * (1 + ALLOWED_OVERHEAD) + NOISE_FLOOR_SECONDS
-    assert instrumented <= budget, (
-        f"instrumented {instrumented:.4f}s vs baseline {baseline:.4f}s "
-        f"(budget {budget:.4f}s)"
+    assert_overhead_within(
+        lambda: _simulate(addresses, writes), baseline,
+        ALLOWED_OVERHEAD, NOISE_FLOOR_SECONDS,
     )
 
 
