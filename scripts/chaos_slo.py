@@ -12,9 +12,9 @@ a saboteur SIGSTOPs a warm engine worker mid-storm.  The gate:
    true`` and carries ``error_bound_pct``; no answer is both degraded
    and missing its bound.
 3. **Exactness** — every full-fidelity simulate answer (status ``ok`` /
-   ``cached``) is byte-identical to the same request's answer from a
-   fault-free reference instance.  Chaos may slow or degrade answers,
-   never corrupt them.
+   ``cached`` / ``analytic``) is byte-identical to the same request's
+   answer from a fault-free reference instance.  Chaos may slow or
+   degrade answers, never corrupt them.
 4. **Self-healing** — the SIGSTOPped worker is detected as wedged and
    respawned (``repro_resilience_wedged_total`` and
    ``repro_resilience_respawns_total`` both move), and the pool is back
@@ -65,6 +65,16 @@ PROGRAMS = [
     {"program": "mult", "heuristic": "pad", "size": 24},
 ]
 
+#: brownout probes, asked once after the storm with degraded mode forced:
+#: the analytic tier answers jacobi exactly (status ``analytic``, not
+#: degraded), while irr's indirect subscripts make the predictor refuse it
+#: statically, so irr must come back as a flagged, bounded estimate
+ANALYTIC_PROBE = {"program": "jacobi", "size": 40}
+DEGRADED_PROBE = {"program": "irr"}
+
+#: statuses whose stats must be byte-identical to the fault-free reference
+EXACT_STATUSES = ("ok", "cached", "analytic")
+
 
 def post(base, path, payload, timeout=90):
     request = urllib.request.Request(
@@ -105,7 +115,7 @@ def build_reference():
     server, thread, base = start_server(chaos=None)
     try:
         reference = {}
-        for item in PROGRAMS:
+        for item in PROGRAMS + [ANALYTIC_PROBE]:
             code, body = post(base, "/v1/simulate", dict(item))
             if code != 200 or body.get("stats") is None:
                 raise SystemExit(
@@ -166,7 +176,7 @@ class Storm:
 
     def check_simulate(self, item, body):
         self.check_record(body)
-        if body.get("status") in ("ok", "cached") and body.get("stats"):
+        if body.get("status") in EXACT_STATUSES and body.get("stats"):
             want = self.reference[canonical(item).decode()]
             got = canonical(body["stats"])
             with self.lock:
@@ -237,12 +247,21 @@ def main() -> int:
         if any(c.is_alive() for c in clients):
             raise SystemExit("FAIL: storm clients did not finish")
 
-        # brownout probe: force degraded mode and ask for a program the
-        # memo tier has never seen, so gate 2 is exercised every run
+        # brownout probes: force degraded mode and ask for programs the
+        # memo tier has never seen.  An analyzable one is still answered
+        # exactly by the analytic tier; an unanalyzable one exercises
+        # gate 2 every run.
         server.service.config.brownout = True
-        code, body = post(
-            base, "/v1/simulate", {"program": "jacobi", "size": 40}
-        )
+        code, body = post(base, "/v1/simulate", dict(ANALYTIC_PROBE))
+        storm.note(code)
+        if (code != 200 or body.get("status") != "analytic"
+                or body.get("degraded") is not False):
+            storm.violation(
+                f"analytic brownout probe was not exact: {code} {body}"
+            )
+        else:
+            storm.check_simulate(ANALYTIC_PROBE, body)
+        code, body = post(base, "/v1/simulate", dict(DEGRADED_PROBE))
         storm.note(code)
         if code != 200 or body.get("status") != "degraded":
             storm.violation(

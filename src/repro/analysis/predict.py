@@ -8,11 +8,14 @@ constant), the full cache state sequence is a closed-form object, and the
 predictor evaluates it exactly:
 
 * **Classification** splits the program into *units*: maximal perfect
-  affine nests (compiled to a coefficient matrix exactly like
-  :mod:`repro.jit.specialize`), sequence loops over sub-units (time loops
-  whose body holds several sweeps), and straight-line statements.  Any
-  shape outside the class is a :class:`Bailout` with a reason from
-  :data:`BAILOUT_REASONS` — the predictor never silently approximates.
+  affine nests (compiled to a coefficient matrix *by*
+  :func:`repro.jit.specialize.specialize_nest`, the lowering the trace-JIT
+  uses), sequence loops over sub-units (time loops whose body holds
+  several sweeps), and straight-line statements.  Any shape outside the
+  class is a :class:`Bailout` with a reason from :data:`BAILOUT_REASONS`
+  — the predictor never silently approximates.  Its preconditions are
+  stricter than the JIT's: every loop bound must be constant and no
+  reference may use a variable no loop binds.
 
 * **Evaluation** replays the per-set LRU automaton over each unit's
   address stream, accelerated by *translation folding*: when every
@@ -32,7 +35,9 @@ predictor evaluates it exactly:
   lines never self-overlapped must hit the pre-existing seen set either
   always or never across the folded span.  If any precondition fails the
   predictor keeps replaying, and a replay that would exceed ``budget``
-  accesses is an explicit ``exceeds_budget`` bailout.
+  accesses is an explicit ``exceeds_budget`` bailout.  Replayed spans of
+  a nest are flat-iteration ranges of
+  :meth:`repro.jit.specialize.BoundNest.blocks`.
 
 Because every answer is either a full exact replay or a fold justified by
 the translation theorem, predicted :class:`~repro.cache.stats.CacheStats`
@@ -58,21 +63,24 @@ import numpy as np
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
 from repro.errors import PredictError
-from repro.ir.expr import AffineExpr
 from repro.ir.loops import Loop
 from repro.ir.program import Program
 from repro.ir.stmts import Statement
+from repro.jit.specialize import (
+    NEST_PRECONDITIONS,
+    NestPlan,
+    address_expr,
+    specialize_nest,
+)
 from repro.layout.layout import MemoryLayout
 from repro.obs import runtime as obs
 
 #: Why the predictor refused a program (``reason`` label on
-#: ``repro_predict_bailouts_total``).  The first four are static
-#: precondition failures mirroring the JIT deopt taxonomy;
+#: ``repro_predict_bailouts_total``).  The first four are the static
+#: nest preconditions shared with the JIT deopt taxonomy;
 #: ``exceeds_budget`` is issued at evaluation time when an unfoldable
 #: program would need more than ``budget`` replayed accesses.
-BAILOUT_REASONS = (
-    "imperfect", "shadowed", "symbolic_bounds", "indirect", "exceeds_budget",
-)
+BAILOUT_REASONS = NEST_PRECONDITIONS + ("exceeds_budget",)
 
 #: Default replay budget (accesses) for :func:`predict_misses`.
 DEFAULT_BUDGET = 1 << 22
@@ -84,6 +92,9 @@ _MAX_WORKSPACE = 1 << 24
 
 #: Ceiling on translated eviction-record updates applied after a fold.
 _MAX_EVICT_OPS = 1 << 20
+
+#: Accesses per block drawn from a nest's block generator during replay.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -214,97 +225,40 @@ class _StmtUnit:
         return [e.coeff(var) * step for e in self.exprs]
 
 
-class _NestUnit:
-    """Perfect affine nest chain, compiled to matrix form (constant bounds)."""
+class _Nest:
+    """Perfect affine nest: its shared plan (constant bounds) and ref ids."""
 
-    __slots__ = (
-        "variables", "trips", "scaled", "c0_exprs", "flags", "ref_ids",
-        "suffix", "total_iters", "line",
-    )
+    __slots__ = ("plan", "ref_ids", "trips", "inner_iters", "accesses")
 
-    def __init__(self, variables, trips, scaled, c0_exprs, flags, ref_ids, line):
-        self.variables = variables
-        self.trips = trips
-        self.scaled = scaled          # (refs, depth) int64, step-scaled
-        self.c0_exprs = c0_exprs      # per-ref residual over enclosing vars
-        self.flags = flags
+    def __init__(self, plan: NestPlan, ref_ids):
+        self.plan = plan
         self.ref_ids = ref_ids
-        depth = len(trips)
-        suffix = [1] * depth
-        for k in range(depth - 2, -1, -1):
-            suffix[k] = suffix[k + 1] * trips[k + 1]
-        self.suffix = suffix
-        total = 1
-        for n in trips:
-            total *= n
-        self.total_iters = total
-        self.line = line
-
-    @property
-    def accesses(self) -> int:
-        return self.total_iters * len(self.ref_ids)
-
-    @property
-    def inner_iters(self) -> int:
-        """Iterations per level-0 trip."""
-        return self.suffix[0]
+        self.trips = plan.trips({})
+        self.inner_iters = math.prod(self.trips[1:])  # per level-0 trip
+        self.accesses = self.trips[0] * self.inner_iters * len(ref_ids)
 
     def outer_delta(self) -> Optional[int]:
         """Uniform byte advance per level-0 iteration, or None."""
-        if not self.ref_ids:
+        deltas = set((self.plan.coeffs[:, 0] * self.plan.steps[0]).tolist())
+        if not deltas:
             return 0
-        deltas = set(int(d) for d in self.scaled[:, 0])
         return deltas.pop() if len(deltas) == 1 else None
 
     def delta_of(self, var: str, step: int) -> List[int]:
-        return [e.coeff(var) * step for e in self.c0_exprs]
-
-    def emit(self, env, flat_lo: int, flat_hi: int, chunk: int = 1 << 14):
-        """Yield (addrs, flags, ref_ids) lists for a flat iteration range."""
-        refs = len(self.ref_ids)
-        if refs == 0 or flat_hi <= flat_lo:
-            return
-        c0 = np.array(
-            [e.evaluate(env) for e in self.c0_exprs], dtype=np.int64
-        )
-        depth = len(self.trips)
-        trips = self.trips
-        suffix = self.suffix
-        transposed = np.ascontiguousarray(self.scaled.T)
-        iters_per_block = max(1, chunk // refs)
-        tiled_flags = None
-        tiled_ids = None
-        for start in range(flat_lo, flat_hi, iters_per_block):
-            stop = min(flat_hi, start + iters_per_block)
-            flat = np.arange(start, stop, dtype=np.int64)
-            counters = np.empty((stop - start, depth), dtype=np.int64)
-            for k in range(depth):
-                np.floor_divide(flat, suffix[k], out=counters[:, k])
-                if k:
-                    counters[:, k] %= trips[k]
-            addrs = (counters @ transposed + c0).reshape(-1)
-            if stop - start == iters_per_block and tiled_flags is not None:
-                flags, ids = tiled_flags, tiled_ids
-            else:
-                flags = list(self.flags) * (stop - start)
-                ids = list(self.ref_ids) * (stop - start)
-                if stop - start == iters_per_block:
-                    tiled_flags, tiled_ids = flags, ids
-            yield addrs.tolist(), flags, ids
+        return [e.coeff(var) * step for e in self.plan.consts]
 
 
 class _SeqLoop:
     """Constant-bound loop whose body is a sequence of sub-units."""
 
-    __slots__ = ("var", "lower", "step", "trips", "body", "line")
+    __slots__ = ("var", "lower", "step", "trips", "body")
 
-    def __init__(self, var, lower, step, trips, body, line):
-        self.var = var
-        self.lower = lower
-        self.step = step
-        self.trips = trips
+    def __init__(self, loop: Loop, body):
+        self.var = loop.var
+        self.lower = loop.lower.const
+        self.step = loop.step
+        self.trips = loop.trip_count({})
         self.body = body
-        self.line = line
 
     @property
     def accesses(self) -> int:
@@ -325,7 +279,7 @@ class _SeqLoop:
         return out
 
 
-_Unit = Union[_StmtUnit, _NestUnit, _SeqLoop]
+_Unit = Union[_StmtUnit, _Nest, _SeqLoop]
 
 
 class _Classifier:
@@ -361,14 +315,6 @@ class _Classifier:
             if not ref.is_affine:
                 self._bail("indirect", f"reference {ref}", ref.line)
 
-    def _address_expr(self, ref) -> AffineExpr:
-        decl = self.prog.array(ref.array)
-        addr = AffineExpr(self.layout.base(ref.array))
-        strides = self.layout.strides(ref.array)
-        for sub, stride, dim in zip(ref.subscripts, strides, decl.dims):
-            addr = addr + sub * stride - dim.lower * stride
-        return addr
-
     def _register(self, ref) -> int:
         idx = len(self.ref_meta)
         self.ref_meta.append(_RefMeta(
@@ -376,17 +322,23 @@ class _Classifier:
         ))
         return idx
 
-    def _statement(self, stmt: Statement, scope) -> Optional[_StmtUnit]:
-        exprs: List[AffineExpr] = []
-        flags: List[bool] = []
+    def _addresses(self, refs) -> List:
+        """Address expression per ref (None for an indirect one)."""
+        return [
+            address_expr(ref, self.prog, self.layout) if ref.is_affine
+            else None
+            for ref in refs
+        ]
+
+    def _refs(self, refs, exprs, scope) -> Optional[Tuple[int, ...]]:
+        """Check and register ``refs``; ``exprs`` holds their addresses."""
         ids: List[int] = []
         ok = True
-        for ref in stmt.refs:
-            if not ref.is_affine:
+        for ref, addr in zip(refs, exprs):
+            if addr is None:
                 self._bail("indirect", f"reference {ref}", ref.line)
                 ok = False
                 continue
-            addr = self._address_expr(ref)
             free = [v for v in addr.coeffs if v not in scope]
             if free:
                 self._bail(
@@ -395,140 +347,68 @@ class _Classifier:
                 )
                 ok = False
                 continue
-            exprs.append(addr)
-            flags.append(ref.is_write)
             ids.append(self._register(ref))
-        return _StmtUnit(tuple(exprs), tuple(flags), tuple(ids)) if ok else None
+        return tuple(ids) if ok else None
+
+    def _statement(self, stmt: Statement, scope) -> Optional[_StmtUnit]:
+        exprs = self._addresses(stmt.refs)
+        ids = self._refs(stmt.refs, exprs, scope)
+        if ids is None:
+            return None
+        flags = tuple(ref.is_write for ref in stmt.refs)
+        return _StmtUnit(tuple(exprs), flags, ids)
 
     def _loop(self, loop: Loop, scope) -> Optional[_Unit]:
-        if loop.var in scope:
-            self._bail("shadowed", f"loop {loop.var} rebinds its variable",
-                       loop.line)
-            return None
-        if not (loop.lower.is_constant and loop.upper.is_constant):
-            self._bail(
-                "symbolic_bounds",
-                f"loop {loop.var} = {loop.lower}, {loop.upper}", loop.line,
-            )
-            self._scan_refs(loop)
-            return None
-        stmts = [n for n in loop.body if isinstance(n, Statement)]
-        loops = [n for n in loop.body if isinstance(n, Loop)]
-        if stmts and loops:
-            self._bail(
-                "imperfect",
-                f"loop {loop.var} mixes statements and loops", loop.line,
-            )
-            self._scan_refs(loop)
-            return None
-        inner_scope = scope | {loop.var}
+        """Classify the chain of single-loop bodies headed at ``loop``."""
+        chain: List[Loop] = []
+        node = loop
+        while True:
+            if node.var in scope:
+                self._bail("shadowed",
+                           f"loop {node.var} rebinds its variable", node.line)
+                return None
+            if not (node.lower.is_constant and node.upper.is_constant):
+                self._bail(
+                    "symbolic_bounds",
+                    f"loop {node.var} = {node.lower}, {node.upper}",
+                    node.line,
+                )
+                self._scan_refs(node)
+                return None
+            stmts = [n for n in node.body if isinstance(n, Statement)]
+            loops = [n for n in node.body if isinstance(n, Loop)]
+            if stmts and loops:
+                self._bail(
+                    "imperfect",
+                    f"loop {node.var} mixes statements and loops", node.line,
+                )
+                self._scan_refs(node)
+                return None
+            scope = scope | {node.var}
+            chain.append(node)
+            if len(loops) != 1:
+                break
+            node = loops[0]
         if not loops:
-            return self._leaf_nest([loop], stmts, scope)
-        children: List[_Unit] = []
-        ok = True
-        for child in loops:
-            unit = self._loop(child, inner_scope)
-            if unit is None:
-                ok = False
+            # A perfect chain: the shared lowering compiles it whole, and
+            # its only possible refusal here is an indirect reference.  The
+            # nest's own variables are in scope, so the residual constants
+            # decide which references use unbound variables.
+            refs = [ref for stmt in stmts for ref in stmt.refs]
+            plan = specialize_nest(loop, self.prog, self.layout)
+            if isinstance(plan, NestPlan):
+                exprs = plan.consts
             else:
-                children.append(unit)
-        if not ok:
+                exprs = self._addresses(refs)
+            ids = self._refs(refs, exprs, scope)
+            return None if ids is None else _Nest(plan, ids)
+        children = [self._loop(child, scope) for child in loops]
+        if any(unit is None for unit in children):
             return None
-        if len(children) == 1 and isinstance(children[0], _NestUnit):
-            lifted = self._lift(loop, children[0])
-            if lifted is not None:
-                return lifted
-        trips = _trip(loop.lower.const, loop.upper.const, loop.step)
-        return _SeqLoop(
-            loop.var, loop.lower.const, loop.step, trips, children, loop.line,
-        )
-
-    def _leaf_nest(self, chain, stmts, scope) -> Optional[_NestUnit]:
-        names = tuple(level.var for level in chain)
-        own = frozenset(names)
-        rows: List[List[int]] = []
-        exprs: List[AffineExpr] = []
-        flags: List[bool] = []
-        ids: List[int] = []
-        ok = True
-        for stmt in stmts:
-            for ref in stmt.refs:
-                if not ref.is_affine:
-                    self._bail("indirect", f"reference {ref}", ref.line)
-                    ok = False
-                    continue
-                addr = self._address_expr(ref)
-                free = [
-                    v for v in addr.coeffs if v not in scope and v not in own
-                ]
-                if free:
-                    self._bail(
-                        "symbolic_bounds",
-                        f"reference {ref} uses unbound {sorted(free)}",
-                        ref.line,
-                    )
-                    ok = False
-                    continue
-                rows.append([addr.coeff(v) for v in names])
-                residual = {
-                    v: c for v, c in addr.coeffs.items() if v not in own
-                }
-                exprs.append(AffineExpr(addr.const, residual))
-                flags.append(ref.is_write)
-                ids.append(self._register(ref))
-        if not ok:
-            return None
-        trips = tuple(
-            _trip(l.lower.const, l.upper.const, l.step) for l in chain
-        )
-        lowers = np.array([l.lower.const for l in chain], dtype=np.int64)
-        steps = np.array([l.step for l in chain], dtype=np.int64)
-        coeffs = (
-            np.array(rows, dtype=np.int64)
-            if rows else np.zeros((0, len(names)), dtype=np.int64)
-        )
-        # Fold start values into the residual: addr = c0 + (A*step)@t.
-        starts = coeffs @ lowers
-        c0_exprs = tuple(
-            expr + int(start) for expr, start in zip(exprs, starts)
-        )
-        scaled = coeffs * steps[None, :]
-        return _NestUnit(
-            names, trips, scaled, c0_exprs, tuple(flags), tuple(ids),
-            chain[0].line,
-        )
-
-    def _lift(self, loop: Loop, inner: _NestUnit) -> Optional[_NestUnit]:
-        """Prepend a level to a perfect chain (returns None if shadowed)."""
-        if loop.var in inner.variables:
-            return None  # handled as a sequence loop instead
-        names = (loop.var,) + inner.variables
-        trips = (_trip(loop.lower.const, loop.upper.const, loop.step),) \
-            + inner.trips
-        refs = len(inner.ref_ids)
-        col = np.array(
-            [e.coeff(loop.var) for e in inner.c0_exprs], dtype=np.int64
-        ).reshape(refs, 1)
-        scaled = np.hstack([col * loop.step, inner.scaled]) if refs else \
-            np.zeros((0, len(names)), dtype=np.int64)
-        start = col.reshape(-1) * loop.lower.const
-        c0_exprs = tuple(
-            AffineExpr(
-                e.const + int(s),
-                {v: c for v, c in e.coeffs.items() if v != loop.var},
-            )
-            for e, s in zip(inner.c0_exprs, start)
-        )
-        return _NestUnit(
-            names, trips, scaled, c0_exprs, inner.flags, inner.ref_ids,
-            loop.line,
-        )
-
-
-def _trip(lo: int, hi: int, step: int) -> int:
-    if step > 0:
-        return max(0, (hi - lo) // step + 1)
-    return max(0, (lo - hi) // (-step) + 1)
+        unit: _Unit = _SeqLoop(node, children)
+        for level in reversed(chain[:-1]):
+            unit = _SeqLoop(level, [unit])
+        return unit
 
 
 class _Model:
@@ -842,12 +722,20 @@ class _Evaluator:
         addrs = [e.evaluate(env) for e in unit.exprs]
         self.model.replay(addrs, unit.flags, unit.ref_ids)
 
+    def _replay_nest(self, unit: _Nest, env, lo: int = 0,
+                     hi: Optional[int] = None) -> None:
+        """Replay flat iterations ``[lo, hi)`` of a nest under ``env``."""
+        ids = unit.ref_ids
+        for addrs, writes in unit.plan.bind(env).blocks(_CHUNK, lo, hi):
+            self.model.replay(
+                addrs.tolist(), writes.tolist(), ids * (len(addrs) // len(ids))
+            )
+
     def _replay_sub(self, unit, env) -> None:
         if isinstance(unit, _StmtUnit):
             self._replay_stmt(unit, env)
-        elif isinstance(unit, _NestUnit):
-            for addrs, flags, ids in unit.emit(env, 0, unit.total_iters):
-                self.model.replay(addrs, flags, ids)
+        elif isinstance(unit, _Nest):
+            self._replay_nest(unit, env)
         else:
             env = dict(env)
             for t in range(unit.trips):
@@ -857,10 +745,9 @@ class _Evaluator:
 
     def _replay_outer(self, unit, lo: int, hi: int) -> None:
         """Replay outer iterations ``[lo, hi)`` of a top-level loop unit."""
-        if isinstance(unit, _NestUnit):
+        if isinstance(unit, _Nest):
             inner = unit.inner_iters
-            for addrs, flags, ids in unit.emit({}, lo * inner, hi * inner):
-                self.model.replay(addrs, flags, ids)
+            self._replay_nest(unit, {}, lo * inner, hi * inner)
         else:
             env: Dict[str, int] = {}
             for t in range(lo, hi):
@@ -877,7 +764,7 @@ class _Evaluator:
         )
         entry_seen.sort()
         entry_folds = tuple(self.model.seen_folds)
-        n = unit.trips[0] if isinstance(unit, _NestUnit) else unit.trips
+        n = unit.trips[0] if isinstance(unit, _Nest) else unit.trips
         if n <= 0 or unit.accesses == 0:
             return
         delta = unit.outer_delta()

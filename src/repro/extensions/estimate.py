@@ -34,7 +34,7 @@ from repro.analysis.conflict import severe_conflict
 from repro.analysis.linearize import linearized_distance
 from repro.analysis.uniform import uniform_groups
 from repro.cache.config import CacheConfig
-from repro.ir.loops import Loop
+from repro.ir.loops import Loop, trip_count
 from repro.ir.program import Program
 from repro.layout.layout import MemoryLayout
 
@@ -83,9 +83,7 @@ def _approx_trips(loop: Loop, outer_mid: Dict[str, int]) -> int:
     hi = loop.upper.substitute(outer_mid)
     if not (lo.is_constant and hi.is_constant):
         return 1
-    if loop.step > 0:
-        return max(0, (hi.const - lo.const) // loop.step + 1)
-    return max(0, (lo.const - hi.const) // (-loop.step) + 1)
+    return trip_count(lo.const, hi.const, loop.step)
 
 
 def _nest_weight(loop: Loop, outer_mid: Dict[str, int]) -> int:

@@ -23,6 +23,13 @@ from repro.ir.stmts import Statement
 BodyNode = Union["Loop", Statement]
 
 
+def trip_count(lo: int, hi: int, step: int) -> int:
+    """Iteration count of ``do v = lo, hi, step`` (0 for empty ranges)."""
+    if step > 0:
+        return max(0, (hi - lo) // step + 1)
+    return max(0, (lo - hi) // (-step) + 1)
+
+
 class Loop:
     """``do var = lower, upper, step`` with a body of statements/loops."""
 
@@ -86,11 +93,9 @@ class Loop:
 
     def trip_count(self, env) -> int:
         """Number of iterations under concrete outer-variable values."""
-        lo = self.lower.evaluate(env)
-        hi = self.upper.evaluate(env)
-        if self.step > 0:
-            return max(0, (hi - lo) // self.step + 1)
-        return max(0, (lo - hi) // (-self.step) + 1)
+        return trip_count(
+            self.lower.evaluate(env), self.upper.evaluate(env), self.step
+        )
 
     def __repr__(self) -> str:
         head = f"do {self.var} = {self.lower}, {self.upper}"

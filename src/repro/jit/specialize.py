@@ -1,5 +1,11 @@
 """Nest specialization: affine loop nests into closed-form address streams.
 
+This module is the one affine loop-nest lowering in the package.  It has
+two consumers: the trace-JIT (:mod:`repro.jit.interp`), which streams a
+compiled nest's blocks instead of interpreting it, and the analytic
+predictor (:mod:`repro.analysis.predict`), which replays the same blocks
+through its LRU model and folds whole outer-iteration spans.
+
 The trace interpreter vectorizes only the *innermost* loop of a nest and
 walks every enclosing level in Python, one dispatch per iteration.  For a
 purely affine nest that dispatch is wasted work: every reference's byte
@@ -13,11 +19,12 @@ plus a residual affine constant per reference (base address, lower-bound
 shifts, and any *enclosing* loop variables, which are fixed for the
 duration of the nest).  Binding the plan against a concrete environment
 (:meth:`NestPlan.bind`) evaluates bounds and residuals to plain integers;
-:meth:`BoundNest.blocks` then generates the stream in ``chunk_target``-sized
-batches: decompose a range of flat iteration numbers into per-level trip
-counters with divmods, then one integer matmul per block.
+:meth:`BoundNest.blocks` then generates the stream, or any flat-iteration
+range of it, in ``chunk_target``-sized batches: decompose flat iteration
+numbers into per-level trip counters with divmods, then one integer matmul
+per block.
 
-Preconditions (any failure is a *deopt reason*, see :data:`DEOPT_REASONS`):
+Preconditions (any failure is one of :data:`NEST_PRECONDITIONS`):
 
 * ``imperfect`` — a non-innermost level whose body is not exactly one loop
   (statements between loop levels, or sibling loops).
@@ -26,34 +33,41 @@ Preconditions (any failure is a *deopt reason*, see :data:`DEOPT_REASONS`):
   variables (triangular nests); bounds over *enclosing* variables are fine.
 * ``indirect`` — any reference with an ``X(IDX(i))`` subscript.
 
-A nest that deopts at its head is interpreted level by level, and every
-inner sub-nest is re-considered on its own — a triangular outer loop over
-a rectangular inner nest still compiles the inner nest once per outer
-iteration.
+The JIT reports these as deopt reasons (:data:`DEOPT_REASONS`), the
+predictor as bailout reasons (its ``BAILOUT_REASONS``).  A nest that deopts
+at its head is interpreted level by level, and every inner sub-nest is
+re-considered on its own — a triangular outer loop over a rectangular
+inner nest still compiles the inner nest once per outer iteration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ir.expr import AffineExpr
-from repro.ir.loops import Loop
+from repro.ir.loops import Loop, trip_count
 from repro.ir.program import Program
 from repro.layout.layout import MemoryLayout
+
+#: The static preconditions :func:`specialize_nest` checks, in order.
+NEST_PRECONDITIONS = ("imperfect", "shadowed", "symbolic_bounds", "indirect")
 
 #: Why a nest fell back to the interpreter (``reason`` label on
 #: ``repro_jit_deopt_total``).  ``cold`` is issued at run time by the
 #: auto-mode hotness policy; the rest are static precondition failures.
-DEOPT_REASONS = ("imperfect", "shadowed", "symbolic_bounds", "indirect", "cold")
+DEOPT_REASONS = NEST_PRECONDITIONS + ("cold",)
 
 
-def _trip(lo: int, hi: int, step: int) -> int:
-    """Iteration count of ``do v = lo, hi, step`` (0 for empty ranges)."""
-    if step > 0:
-        return max(0, (hi - lo) // step + 1)
-    return max(0, (lo - hi) // (-step) + 1)
+def address_expr(ref, prog: Program, layout: MemoryLayout) -> AffineExpr:
+    """Byte address of an affine reference as an expression of its vars."""
+    decl = prog.array(ref.array)
+    addr = AffineExpr(layout.base(ref.array))
+    strides = layout.strides(ref.array)
+    for sub, stride, dim in zip(ref.subscripts, strides, decl.dims):
+        addr = addr + sub * stride - dim.lower * stride
+    return addr
 
 
 class NestPlan:
@@ -91,23 +105,26 @@ class NestPlan:
         self.depth = len(variables)
         self.ref_count = len(consts)
 
+    def trips(self, env: Mapping[str, int]) -> Tuple[int, ...]:
+        """Trip count of every level, bounds evaluated against ``env``."""
+        return tuple(
+            trip_count(lo.evaluate(env), hi.evaluate(env), step)
+            for lo, hi, step in zip(self.lowers, self.uppers, self.steps)
+        )
+
     def bind(self, env: Mapping[str, int]) -> "BoundNest":
         """Evaluate bounds and residual constants against ``env``."""
-        lows: List[int] = []
-        trips: List[int] = []
-        for lo_expr, hi_expr, step in zip(self.lowers, self.uppers, self.steps):
-            lo = lo_expr.evaluate(env)
-            hi = hi_expr.evaluate(env)
-            lows.append(lo)
-            trips.append(_trip(lo, hi, step))
+        lows = np.array(
+            [expr.evaluate(env) for expr in self.lowers], dtype=np.int64
+        )
         consts = np.array(
             [expr.evaluate(env) for expr in self.consts], dtype=np.int64
         )
         # Address of ref j at trip counters t: consts[j] + A[j]·(lo + step*t)
         # = c0[j] + (A*step)[j]·t — fold the start values into the constant.
-        c0 = consts + self.coeffs @ np.asarray(lows, dtype=np.int64)
+        c0 = consts + self.coeffs @ lows
         scaled = self.coeffs * np.asarray(self.steps, dtype=np.int64)[None, :]
-        return BoundNest(tuple(trips), c0, scaled, self.flags)
+        return BoundNest(self.trips(env), c0, scaled, self.flags)
 
 
 class BoundNest:
@@ -133,16 +150,18 @@ class BoundNest:
         self.accesses = total * len(c0)
 
     def blocks(
-        self, chunk_target: int
+        self, chunk_target: int, lo: int = 0, hi: Optional[int] = None
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield (addresses, writes) blocks of ~``chunk_target`` accesses.
 
+        Covers flat iterations ``[lo, hi)`` (default: the whole nest).
         Iteration order is exactly the interpreter's: the last loop level
         varies fastest, and within one iteration the references appear in
         program order with their write flags.
         """
         refs = len(self.c0)
-        if refs == 0 or self.total_iters == 0:
+        hi = self.total_iters if hi is None else hi
+        if refs == 0 or hi <= lo:
             return
         depth = len(self.trips)
         trips = np.asarray(self.trips, dtype=np.int64)
@@ -154,8 +173,8 @@ class BoundNest:
         iters_per_block = max(1, chunk_target // refs)
         full_writes = np.tile(self.flags, iters_per_block)
         transposed = np.ascontiguousarray(self.coeffs.T)  # (depth, refs)
-        for start in range(0, self.total_iters, iters_per_block):
-            stop = min(self.total_iters, start + iters_per_block)
+        for start in range(lo, hi, iters_per_block):
+            stop = min(hi, start + iters_per_block)
             flat = np.arange(start, stop, dtype=np.int64)
             counters = np.empty((stop - start, depth), dtype=np.int64)
             for k in range(depth):
@@ -196,11 +215,7 @@ def specialize_nest(
         for ref in stmt.refs:
             if not ref.is_affine:
                 return "indirect"
-            decl = prog.array(ref.array)
-            addr = AffineExpr(layout.base(ref.array))
-            strides = layout.strides(ref.array)
-            for sub, stride, dim in zip(ref.subscripts, strides, decl.dims):
-                addr = addr + sub * stride - dim.lower * stride
+            addr = address_expr(ref, prog, layout)
             rows.append([addr.coeff(name) for name in names])
             residual: Dict[str, int] = {
                 var: coef

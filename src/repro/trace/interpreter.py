@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.ir.expr import IndirectExpr
-from repro.ir.loops import BodyNode, Loop
+from repro.ir.loops import BodyNode, Loop, trip_count
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 from repro.ir.stmts import Statement
@@ -145,10 +145,7 @@ class TraceInterpreter:
         lo = loop.lower.evaluate(env)
         hi = loop.upper.evaluate(env)
         step = loop.step
-        if step > 0:
-            count = max(0, (hi - lo) // step + 1)
-        else:
-            count = max(0, (lo - hi) // (-step) + 1)
+        count = trip_count(lo, hi, step)
         if count == 0:
             return
         values = lo + step * np.arange(count, dtype=np.int64)

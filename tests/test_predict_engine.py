@@ -23,6 +23,8 @@ from repro.analysis.predict_corpus import bailout_case, random_affine_case
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError, PredictError, UsageError
 from repro.experiments.runner import Runner
+from repro.ir import builder as b
+from repro.jit.specialize import NestPlan, specialize_nest
 from repro.layout.layout import original_layout
 from tests.conftest import jacobi_program, vector_sum_program
 
@@ -53,6 +55,22 @@ class TestClassification:
             assert units is None
             assert bailouts
             assert all(b.reason in BAILOUT_REASONS for b in bailouts)
+
+    def test_enclosing_variable_bounds_only_compile_in_the_jit(self):
+        # Both consumers share one nest lowering; the one precondition
+        # they differ on: a rectangular nest whose bounds use an enclosing
+        # variable compiles for the JIT but is refused by the predictor.
+        nest = b.loop("i", "k", b.idx("k", 3), [
+            b.loop("j", 1, 4, [b.stmt(b.w("A", "i", "j"))]),
+        ])
+        prog = b.program(
+            "band", [b.real8("A", 12, 12)], [b.loop("k", 1, 5, [nest])],
+        )
+        layout = original_layout(prog)
+        assert isinstance(specialize_nest(nest, prog, layout), NestPlan)
+        units, _, bailouts = classify_program(prog, layout)
+        assert units is None
+        assert [bail.reason for bail in bailouts] == ["symbolic_bounds"]
 
     def test_unknown_bailout_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown bailout kind"):
