@@ -55,6 +55,8 @@ leave no eviction record).
 from __future__ import annotations
 
 import math
+import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -84,6 +86,20 @@ BAILOUT_REASONS = NEST_PRECONDITIONS + ("exceeds_budget",)
 
 #: Default replay budget (accesses) for :func:`predict_misses`.
 DEFAULT_BUDGET = 1 << 22
+
+#: ``budget=SIM_PARITY`` bounds replay by the cost of the simulation it
+#: would replace, for callers that fall back to an exact simulation on
+#: bailout: ``min(DEFAULT_BUDGET, PARITY_FIXED + accesses // PARITY_RATIO)``
+#: replayed accesses.  Both terms are measured against the direct-mapped
+#: engine, the fastest one and so the predictor's worst case (16K/32B, one
+#: 2-vCPU x86 box): mgrid/pad never folds and replays its 2.01M accesses at
+#: 1.22M/s, while ``Runner.execute`` simulates them (trace + engine) at
+#: 5.82M/s, a ratio of 4.8, rounded up to 5.  A warm ``Runner.execute`` of
+#: dot at size 64 (128 accesses) takes 0.40 ms, the fixed cost of a small
+#: simulation, which is ~490 accesses of replay at 1.22M/s.
+SIM_PARITY = "sim_parity"
+PARITY_RATIO = 5
+PARITY_FIXED = 500
 
 #: Ceiling on numpy workspace elements for fold bookkeeping; a fold whose
 #: bookkeeping would be larger is skipped (replay continues — never an
@@ -411,6 +427,52 @@ class _Classifier:
         return unit
 
 
+class _Fold:
+    """The lines ``{b + k*w : b in base, 1 <= k <= folded}`` of one fold.
+
+    With ``b = r + q*|w|`` (``0 <= r < |w|``), a line ``x = r + qx*|w|`` is
+    a member iff a base of residue ``r`` has ``q`` in ``[qx - folded,
+    qx - 1]`` (``w > 0``) or ``[qx + 1, qx + folded]`` (``w < 0``).  Bases
+    are stored once as sorted keys ``r*span + (q - qmin)``, so a probe is
+    one bisect; the window is clipped to ``[qmin, qmax]`` so it never
+    reaches a neighbouring residue's keys.
+    """
+
+    __slots__ = ("aw", "k_lo", "k_hi", "qmin", "qmax", "span", "keys",
+                 "key_list")
+
+    def __init__(self, base: np.ndarray, w: int, folded: int):
+        self.aw = abs(w)
+        q, r = np.divmod(np.asarray(base, dtype=np.int64), self.aw)
+        self.qmin, self.qmax = int(q.min()), int(q.max())
+        self.span = self.qmax - self.qmin + 1
+        self.keys = np.unique(r * self.span + (q - self.qmin))
+        self.key_list = self.keys.tolist()
+        self.k_lo, self.k_hi = (-folded, -1) if w > 0 else (1, folded)
+
+    def contains(self, line: int) -> bool:
+        q, r = divmod(line, self.aw)
+        lo = max(q + self.k_lo, self.qmin)
+        hi = min(q + self.k_hi, self.qmax)
+        if lo > hi:
+            return False
+        off = r * self.span - self.qmin
+        keys = self.key_list
+        i = bisect_left(keys, off + lo)
+        return i < len(keys) and keys[i] <= off + hi
+
+    def member(self, lines: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`contains` over an int64 line array."""
+        q, r = np.divmod(lines, self.aw)
+        lo = np.maximum(q + self.k_lo, self.qmin)
+        hi = np.minimum(q + self.k_hi, self.qmax)
+        off = r * self.span - self.qmin
+        idx = np.searchsorted(self.keys, off + lo)
+        hit = idx < len(self.keys)
+        hit[hit] = self.keys[idx[hit]] <= (off + hi)[hit]
+        return hit & (lo <= hi)
+
+
 class _Model:
     """Exact set-associative LRU automaton with per-reference attribution.
 
@@ -427,10 +489,9 @@ class _Model:
         self.write_allocate = cache.write_allocate
         self.sets: List[List[List]] = [[] for _ in range(self.num_sets)]
         self.seen: set = set()
-        # Folded units record their touched lines as arithmetic
-        # progressions {l + k*w : l in base, 1 <= k <= folded} instead of
-        # materializing them: (base_lines, w, folded).
-        self.seen_folds: List[Tuple[List[int], int, int]] = []
+        # Folded units record their touched lines as indexed progressions
+        # (see _Fold) instead of materializing them.
+        self.folds: List[_Fold] = []
         self.evictor: Dict[int, str] = {}
         self.ref_arrays = ref_arrays
         self.accesses = 0
@@ -457,7 +518,7 @@ class _Model:
         walloc = self.write_allocate
         sets = self.sets
         seen = self.seen
-        folds = self.seen_folds
+        folds = self.folds
         evictor = self.evictor
         ref_arrays = self.ref_arrays
         ref_acc = self.ref_acc
@@ -479,7 +540,8 @@ class _Model:
             hit = False
             for pos, entry in enumerate(ways):
                 if entry[0] == line:
-                    ways.append(ways.pop(pos))
+                    if pos != len(ways) - 1:  # already MRU: nothing to move
+                        ways.append(ways.pop(pos))
                     if is_write and wb:
                         entry[1] = True
                     hit = True
@@ -490,15 +552,7 @@ class _Model:
             if line in seen:
                 fresh = False
             else:
-                fresh = True
-                for fbase, fw, fhi in folds:
-                    for fl in fbase:
-                        q, r = divmod(line - fl, fw)
-                        if r == 0 and 1 <= q <= fhi:
-                            fresh = False
-                            break
-                    if not fresh:
-                        break
+                fresh = not any(fold.contains(line) for fold in folds)
                 seen.add(line)  # promote so later checks stay O(1)
             if fresh:
                 ref_cold[rid] += 1
@@ -575,22 +629,16 @@ class _Model:
         (the block whose delta is being repeated); the folded blocks
         touch exactly its translates.
         """
-        for cur, prev in (
-            (self.ref_acc, (after[0], before[0])),
-            (self.ref_miss, (after[1], before[1])),
-            (self.ref_cold, (after[2], before[2])),
-            (self.ref_self, (after[3], before[3])),
-            (self.ref_cross, (after[4], before[4])),
-        ):
-            a, b = prev
+        counters = (self.ref_acc, self.ref_miss, self.ref_cold,
+                    self.ref_self, self.ref_cross)
+        for cur, a, b in zip(counters, after, before):
             for i in range(len(cur)):
                 cur[i] += (a[i] - b[i]) * folded
         self.writebacks += (after[5] - before[5]) * folded
         self.accesses += (after[6] - before[6]) * folded
         if w:
             self.translate(folded * w)
-            base = np.unique(measured_lines)
-            self.seen_folds.append((base.tolist(), w, folded))
+            self.folds.append(_Fold(measured_lines, w, folded))
             # Eviction records only matter within the self-overlap horizon
             # of the end of the folded span (later touches of a line are
             # at most ``horizon`` units apart), so replaying the last few
@@ -629,10 +677,13 @@ def _horizon(u0: np.ndarray, w: int, num_units: int) -> Tuple[int, np.ndarray]:
     same = (s[1:] % aw) == (s[:-1] % aw)
     lags = np.zeros(len(s), dtype=np.int64)
     gap = np.where(same, (s[1:] - s[:-1]) // aw, 0)
+    # Offset u's translate in block t was touched by block t - k iff
+    # u + k*w is an offset too: the nearest same-residue neighbour in the
+    # direction of travel covers it, at lag k.
     if w > 0:
-        lags[1:] = gap          # nearest predecessor covers the line
+        lags[:-1] = gap         # nearest successor (stream moves up)
     else:
-        lags[:-1] = gap         # nearest successor (stream moves down)
+        lags[1:] = gap          # nearest predecessor (stream moves down)
     # A self-cover at lag k first fires at block k, so lags beyond the
     # last block index can never materialize inside this loop.
     horizon = num_units - 1
@@ -640,22 +691,6 @@ def _horizon(u0: np.ndarray, w: int, num_units: int) -> Tuple[int, np.ndarray]:
     m = int(finite.max()) if len(finite) else 1
     fresh_mask = (lags == 0) | (lags > horizon)
     return max(1, m), s[fresh_mask]
-
-
-def _progression_member(lines: np.ndarray, base: np.ndarray, w: int,
-                        lo: int, hi: int) -> np.ndarray:
-    """Membership of ``lines`` in ``{b + k*w : b in base, lo <= k <= hi}``."""
-    member = np.zeros(lines.shape, dtype=bool)
-    if hi < lo or len(base) == 0:
-        return member
-    for b in base:
-        diff = lines - int(b)
-        if w:
-            k, r = np.divmod(diff, w)
-            member |= (r == 0) & (k >= lo) & (k <= hi)
-        else:
-            member |= diff == 0
-    return member
 
 
 def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
@@ -687,12 +722,8 @@ def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
         member = entry_seen[idx] == lines
     else:
         member = np.zeros(lines.shape, dtype=bool)
-    for fbase, fw, fhi in entry_folds:
-        if len(fbase) * len(lines) > _MAX_WORKSPACE:
-            return False
-        member |= _progression_member(
-            lines, np.asarray(fbase, dtype=np.int64), fw, 1, fhi
-        )
+    for fold in entry_folds:
+        member |= fold.member(lines)
     counts = member.reshape(len(forever_fresh), span).sum(axis=1)
     return bool(np.all((counts == 0) | (counts == span)))
 
@@ -704,7 +735,6 @@ class _Evaluator:
         self.units = units
         self.model = model
         self.model.budget = budget
-        self.replayed = 0
 
     def run(self) -> None:
         for unit in self.units:
@@ -712,7 +742,6 @@ class _Evaluator:
                 self._replay_stmt(unit, {})
             else:
                 self._run_top(unit)
-        self.replayed = self.model.replayed
 
     # -- plain replay -----------------------------------------------------
 
@@ -763,7 +792,7 @@ class _Evaluator:
             self.model.seen, dtype=np.int64, count=len(self.model.seen)
         )
         entry_seen.sort()
-        entry_folds = tuple(self.model.seen_folds)
+        entry_folds = tuple(self.model.folds)
         n = unit.trips[0] if isinstance(unit, _Nest) else unit.trips
         if n <= 0 or unit.accesses == 0:
             return
@@ -848,7 +877,7 @@ def predict_misses(
     prog: Program,
     layout: MemoryLayout,
     cache: CacheConfig,
-    budget: int = DEFAULT_BUDGET,
+    budget: Union[int, str] = DEFAULT_BUDGET,
 ) -> PredictOutcome:
     """Exact static miss prediction, or a precondition report.
 
@@ -857,7 +886,8 @@ def predict_misses(
     :class:`repro.cache.sim.ReferenceCache`, or a non-empty tuple of
     :class:`Bailout` records — never a partial or approximate answer.
     ``budget`` caps replayed (non-folded) accesses; exceeding it is the
-    ``exceeds_budget`` bailout.
+    ``exceeds_budget`` bailout.  :data:`SIM_PARITY` resolves the cap from
+    the program's access count once it is classified.
     """
     obs.counter_add(
         "repro_predict_requests_total", 1,
@@ -873,22 +903,46 @@ def predict_misses(
             )
         return PredictOutcome(None, bailouts)
     total_accesses = sum(u.accesses for u in units)
+    bound = f"budget {budget}"
+    if budget == SIM_PARITY:
+        budget = min(DEFAULT_BUDGET,
+                     PARITY_FIXED + total_accesses // PARITY_RATIO)
+        bound = (f"simulation-parity bound {budget} = min({DEFAULT_BUDGET}, "
+                 f"{PARITY_FIXED} + {total_accesses} // {PARITY_RATIO})")
     model = _Model(cache, len(ref_meta), [r.array for r in ref_meta])
-    evaluator = _Evaluator(units, model, budget)
-    try:
-        evaluator.run()
-    except _BudgetExceeded:
-        bail = Bailout(
-            "exceeds_budget",
-            f"replay would exceed {budget} accesses "
-            f"(program has {total_accesses})",
-        )
+    start = time.perf_counter()
+    with obs.span("predict.evaluate", budget=budget,
+                  accesses=total_accesses) as span:
+        try:
+            _Evaluator(units, model, budget).run()
+            outcome = "answered"
+        except _BudgetExceeded:
+            outcome = "exceeds_budget"
+        span.annotate(outcome=outcome, replayed=model.replayed)
+    obs.observe(
+        "repro_predict_seconds", time.perf_counter() - start,
+        "analytic prediction evaluation time", outcome=outcome,
+    )
+    obs.counter_add(
+        "repro_predict_replayed_accesses_total", model.replayed,
+        "accesses the predictor replayed one by one",
+    )
+    if outcome == "exceeds_budget":
         obs.counter_add(
             "repro_predict_bailouts_total", 1,
             "analytic predictions refused, by precondition",
             reason="exceeds_budget",
         )
+        bail = Bailout(
+            "exceeds_budget",
+            f"replay would exceed the {bound} accesses (program has "
+            f"{total_accesses}; {model.replayed} replayed before the bail)",
+        )
         return PredictOutcome(None, (bail,))
+    obs.counter_add(
+        "repro_predict_folded_accesses_total", model.accesses - model.replayed,
+        "accesses the predictor resolved by translation folding",
+    )
     if model.accesses != total_accesses:  # pragma: no cover - invariant
         raise PredictError(
             f"internal accounting drift: {model.accesses} accesses "
@@ -928,8 +982,8 @@ def predict_misses(
         stats=stats,
         cache=cache,
         per_ref=per_ref,
-        replayed_accesses=evaluator.replayed,
-        folded_accesses=stats.accesses - evaluator.replayed,
+        replayed_accesses=model.replayed,
+        folded_accesses=stats.accesses - model.replayed,
     )
     obs.counter_add(
         "repro_predict_predictions_total", 1,

@@ -258,7 +258,13 @@ class Runner:
             # Tier 0: closed-form miss counts, consulted before the memo
             # tiers.  Analytic answers are exact, so they are also primed
             # into the memo and written through to the durable layers.
-            analytic = self.analytic_lookup(request)
+            # With a simulation to fall back on, replay is capped at what
+            # that simulation would cost.
+            from repro.analysis.predict import SIM_PARITY
+
+            analytic = self.analytic_lookup(
+                request, budget=SIM_PARITY if self.predict == "auto" else None
+            )
             if analytic is not None:
                 if self._disk is not None:
                     self._disk.put(request, analytic, status="analytic")

@@ -16,6 +16,9 @@ from repro import simulate_program
 from repro.analysis.predict import (
     BAILOUT_REASONS,
     DEFAULT_BUDGET,
+    PARITY_FIXED,
+    PARITY_RATIO,
+    SIM_PARITY,
     classify_program,
     predict_misses,
 )
@@ -198,6 +201,46 @@ class TestObsCounters:
         bail = counters["repro_predict_bailouts_total"]
         assert bail["labels"]["reason"] == "indirect"
 
+    def test_evaluation_is_timed_and_counted(self):
+        from repro.obs import runtime as obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            pred = predict_jacobi(32).prediction
+            snap = obs.snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        counters = {c["name"]: c for c in snap["counters"]}
+        hists = {h["name"]: h for h in snap["histograms"]}
+        timer = hists["repro_predict_seconds"]
+        assert timer["count"] == 1
+        assert timer["labels"] == {"outcome": "answered"}
+        replayed = counters["repro_predict_replayed_accesses_total"]
+        folded = counters["repro_predict_folded_accesses_total"]
+        assert replayed["value"] == pred.replayed_accesses
+        assert folded["value"] == pred.folded_accesses
+
+    def test_budget_bailout_span_carries_budget_and_progress(self):
+        from repro.obs import runtime as obs
+
+        records = []
+        obs.reset()
+        obs.enable()
+        obs.add_span_sink(records.append)
+        try:
+            prog = jacobi_program(64)
+            predict_misses(prog, original_layout(prog), CACHE, budget=8)
+        finally:
+            obs.remove_span_sink(records.append)
+            obs.disable()
+            obs.reset()
+        [span] = [r for r in records if r["span"] == "predict.evaluate"]
+        assert span["attrs"]["outcome"] == "exceeds_budget"
+        assert span["attrs"]["budget"] == 8
+        assert 0 <= span["attrs"]["replayed"] <= 8
+
 
 class TestRunnerTier0:
     def test_predict_modes(self):
@@ -250,6 +293,42 @@ class TestRunnerTier0:
         assert runner.predict_request(request) is first
         runner.clear()
         assert runner.predict_request(request) is not first
+
+
+class TestSimParityBound:
+    """Under ``--tier auto`` replay may cost no more than the simulation."""
+
+    # mult's reference deltas differ per outer iteration: it never folds,
+    # so the predictor replays every access
+    ARGS = ("mult", "original", CACHE)
+    SIZE = 32
+
+    def test_unfoldable_nest_overruns_the_parity_bound(self):
+        runner = Runner()
+        request = runner.request_for(*self.ARGS, size=self.SIZE)
+        prog, layout = runner.materialize(request)
+        pred = predict_misses(prog, layout, CACHE).require()
+        assert pred.replayed_accesses == pred.stats.accesses
+        assert pred.replayed_accesses > (
+            PARITY_FIXED + pred.stats.accesses // PARITY_RATIO
+        )
+        outcome = predict_misses(prog, layout, CACHE, budget=SIM_PARITY)
+        assert outcome.reason == "exceeds_budget"
+        assert "simulation-parity bound" in outcome.bailouts[0].where
+
+    def test_auto_falls_back_to_identical_simulation(self):
+        runner = Runner(predict="auto")
+        stats = runner.run(*self.ARGS, size=self.SIZE)
+        assert runner.last_tier == "sim"
+        request = runner.request_for(*self.ARGS, size=self.SIZE)
+        assert stats == Runner().execute(request)
+
+    def test_forced_analytic_keeps_the_absolute_budget(self):
+        runner = Runner(predict="analytic")
+        stats = runner.run(*self.ARGS, size=self.SIZE)
+        assert runner.last_tier == "analytic"
+        request = runner.request_for(*self.ARGS, size=self.SIZE)
+        assert stats == Runner().execute(request)
 
 
 class TestEngineTierThreading:
@@ -430,6 +509,13 @@ class TestCliPredict:
         assert rc == 2
         assert "not analyzable" in out
         assert "symbolic_bounds" in out
+
+    def test_budget_help_shows_the_default_budget(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["predict", "--help"])
+        assert f"(default {DEFAULT_BUDGET})" in capsys.readouterr().out
 
     def test_budget_flag_forces_bailout(self, capsys):
         from repro.cli import main
