@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.analysis.budget import DEFAULT_BUDGET
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
 from repro.errors import PredictError
@@ -84,19 +85,20 @@ from repro.obs import runtime as obs
 #: program would need more than ``budget`` replayed accesses.
 BAILOUT_REASONS = NEST_PRECONDITIONS + ("exceeds_budget",)
 
-#: Default replay budget (accesses) for :func:`predict_misses`.
-DEFAULT_BUDGET = 1 << 22
-
 #: ``budget=SIM_PARITY`` bounds replay by the cost of the simulation it
 #: would replace, for callers that fall back to an exact simulation on
-#: bailout: ``min(DEFAULT_BUDGET, PARITY_FIXED + accesses // PARITY_RATIO)``
-#: replayed accesses.  Both terms are measured against the direct-mapped
-#: engine, the fastest one and so the predictor's worst case (16K/32B, one
-#: 2-vCPU x86 box): mgrid/pad never folds and replays its 2.01M accesses at
-#: 1.22M/s, while ``Runner.execute`` simulates them (trace + engine) at
-#: 5.82M/s, a ratio of 4.8, rounded up to 5.  A warm ``Runner.execute`` of
-#: dot at size 64 (128 accesses) takes 0.40 ms, the fixed cost of a small
-#: simulation, which is ~490 accesses of replay at 1.22M/s.
+#: bailout.  On a direct-mapped cache the cap is
+#: ``min(DEFAULT_BUDGET, PARITY_FIXED + accesses // PARITY_RATIO)``
+#: replayed accesses (16K/32B, one 2-vCPU x86 box): mgrid/pad never folds
+#: and replays its 2.01M accesses at 1.22M/s, while ``Runner.execute``
+#: simulates them (trace + engine) at 5.82M/s, a ratio of 4.8, rounded up
+#: to 5.  A warm ``Runner.execute`` of dot at size 64 (128 accesses) takes
+#: 0.40 ms, the fixed cost of a small simulation, which is ~490 accesses
+#: of replay at 1.22M/s.  A set-associative cache keeps ``DEFAULT_BUDGET``:
+#: its engine is several times slower (on the analyzable fig9/fig10
+#: originals at 2/4/16 ways, 16K/32B, simulating takes 74.1 s in all
+#: against 46.1 s for uncapped prediction plus fallback), and capping at
+#: ratio 5 cut replays that would have finished first (58.5 s).
 SIM_PARITY = "sim_parity"
 PARITY_RATIO = 5
 PARITY_FIXED = 500
@@ -887,7 +889,8 @@ def predict_misses(
     :class:`Bailout` records — never a partial or approximate answer.
     ``budget`` caps replayed (non-folded) accesses; exceeding it is the
     ``exceeds_budget`` bailout.  :data:`SIM_PARITY` resolves the cap from
-    the program's access count once it is classified.
+    the program's access count once it is classified (direct-mapped
+    caches; a set-associative one keeps :data:`DEFAULT_BUDGET`).
     """
     obs.counter_add(
         "repro_predict_requests_total", 1,
@@ -903,6 +906,8 @@ def predict_misses(
             )
         return PredictOutcome(None, bailouts)
     total_accesses = sum(u.accesses for u in units)
+    if budget == SIM_PARITY and not cache.is_direct_mapped:
+        budget = DEFAULT_BUDGET
     bound = f"budget {budget}"
     if budget == SIM_PARITY:
         budget = min(DEFAULT_BUDGET,
@@ -911,14 +916,11 @@ def predict_misses(
                  f"{PARITY_FIXED} + {total_accesses} // {PARITY_RATIO})")
     model = _Model(cache, len(ref_meta), [r.array for r in ref_meta])
     start = time.perf_counter()
-    with obs.span("predict.evaluate", budget=budget,
-                  accesses=total_accesses) as span:
-        try:
-            _Evaluator(units, model, budget).run()
-            outcome = "answered"
-        except _BudgetExceeded:
-            outcome = "exceeds_budget"
-        span.annotate(outcome=outcome, replayed=model.replayed)
+    try:
+        _Evaluator(units, model, budget).run()
+        outcome = "answered"
+    except _BudgetExceeded:
+        outcome = "exceeds_budget"
     obs.observe(
         "repro_predict_seconds", time.perf_counter() - start,
         "analytic prediction evaluation time", outcome=outcome,

@@ -50,6 +50,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
+from repro.analysis.budget import DEFAULT_BUDGET
 from repro.cache.config import CacheConfig
 from repro.errors import (
     CampaignError,
@@ -778,21 +779,6 @@ def _campaign_status(args) -> int:
     return 0
 
 
-class _PredictHelpFormatter(argparse.HelpFormatter):
-    """Shows ``--budget``'s default as the predictor defines it.
-
-    The predictor is imported only when this help is rendered, so every
-    other command starts without it.
-    """
-
-    def _get_help_string(self, action):
-        if action.dest != "budget":
-            return action.help
-        from repro.analysis.predict import DEFAULT_BUDGET
-
-        return f"{action.help} (default {DEFAULT_BUDGET})"
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -841,7 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "predict",
         help="closed-form miss prediction (exact or explicit bailout)",
-        formatter_class=_PredictHelpFormatter,
     )
     _add_program_args(p)
     _add_cache_args(p)
@@ -850,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--budget", type=int, default=None, metavar="ACCESSES",
                    help="replayed-access budget before the predictor bails "
-                        "out with exceeds_budget")
+                        f"out with exceeds_budget (default {DEFAULT_BUDGET})")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default text)")
     _add_metrics_arg(p)

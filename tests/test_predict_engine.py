@@ -222,24 +222,26 @@ class TestObsCounters:
         assert replayed["value"] == pred.replayed_accesses
         assert folded["value"] == pred.folded_accesses
 
-    def test_budget_bailout_span_carries_budget_and_progress(self):
+    def test_budget_bailout_is_timed_and_names_its_budget(self):
         from repro.obs import runtime as obs
 
-        records = []
         obs.reset()
         obs.enable()
-        obs.add_span_sink(records.append)
         try:
             prog = jacobi_program(64)
-            predict_misses(prog, original_layout(prog), CACHE, budget=8)
+            out = predict_misses(prog, original_layout(prog), CACHE, budget=8)
+            snap = obs.snapshot()
         finally:
-            obs.remove_span_sink(records.append)
             obs.disable()
             obs.reset()
-        [span] = [r for r in records if r["span"] == "predict.evaluate"]
-        assert span["attrs"]["outcome"] == "exceeds_budget"
-        assert span["attrs"]["budget"] == 8
-        assert 0 <= span["attrs"]["replayed"] <= 8
+        hists = {h["name"]: h for h in snap["histograms"]}
+        assert hists["repro_predict_seconds"]["labels"] == {
+            "outcome": "exceeds_budget"
+        }
+        [bail] = out.bailouts
+        assert bail.reason == "exceeds_budget"
+        assert "budget 8 accesses" in bail.where
+        assert "replayed before the bail" in bail.where
 
 
 class TestRunnerTier0:
@@ -321,6 +323,17 @@ class TestSimParityBound:
         stats = runner.run(*self.ARGS, size=self.SIZE)
         assert runner.last_tier == "sim"
         request = runner.request_for(*self.ARGS, size=self.SIZE)
+        assert stats == Runner().execute(request)
+
+    def test_set_associative_cache_keeps_the_default_budget(self):
+        # the set-associative engine is slower than replay: no parity cap
+        kway = CACHE.with_associativity(4)
+        runner = Runner(predict="auto")
+        stats = runner.run(self.ARGS[0], self.ARGS[1], kway, size=self.SIZE)
+        assert runner.last_tier == "analytic"
+        request = runner.request_for(
+            self.ARGS[0], self.ARGS[1], kway, size=self.SIZE
+        )
         assert stats == Runner().execute(request)
 
     def test_forced_analytic_keeps_the_absolute_budget(self):
